@@ -8,8 +8,8 @@ optimize alone overspends on fast stages and starves the bottleneck.
 1. **Per-stage frontiers.** Each stage runs the standard two-stage
    engine (:func:`repro.dse.engine.auto_dse`) with a full Pareto
    objective, producing its latency-vs-resource frontier (checkpoint /
-   resume / speculation all inherited; a design checkpoint fans out to
-   one journal per stage at ``<path>.<stage>``).
+   resume inherited; a design checkpoint fans out to one journal per
+   stage at ``<path>.<stage>``).
 2. **Throughput balancing.** A greedy walk starts every stage at its
    cheapest frontier point, then repeatedly upgrades only the current
    *bottleneck* stage to its next-faster point, admitting the step only
@@ -384,12 +384,11 @@ def _realize_stage(
 ) -> SynthesisReport:
     """Replay one frontier candidate exactly and leave it installed.
 
-    The same per-candidate pipeline as the engine's sequential search
-    and the speculation workers (plan stage 1, plan node configs,
-    install schedule, derive + apply partitions), then a fresh
-    end-to-end estimate -- so the returned report is real, and the stage
-    function's schedule now *is* the selected design (``codegen()``
-    emits it).
+    The same per-candidate pipeline as the engine's search (plan stage
+    1, plan node configs, install schedule, derive + apply partitions),
+    then a fresh end-to-end estimate -- so the returned report is real,
+    and the stage function's schedule now *is* the selected design
+    (``codegen()`` emits it).
     """
     from repro.depgraph.graph import build_dependence_graph
     from repro.dse.engine import (

@@ -60,7 +60,6 @@ from repro.hls.estimator import HlsEstimator, TransientEstimatorError
 from repro.hls.report import SynthesisReport, speedup
 from repro.isl import memo as _isl_memo
 from repro.polyir.program import PolyProgram
-from repro.util.deprecation import warn_deprecated, warn_deprecated_kwargs
 from repro.dse.checkpoint import (
     CheckpointJournal,
     candidate_key,
@@ -145,9 +144,7 @@ def _estimate_with_retries(
 ) -> SynthesisReport:
     """Estimate with bounded, deadline-aware retry backoff.
 
-    Shared by the in-process search and the speculative evaluation
-    workers (:mod:`repro.dse.parallel`) so both retry transient
-    estimator failures identically and raise the same ``DSE002`` when
+    Transient estimator failures are retried; ``DSE002`` is raised when
     the retries run out.  ``on_retry`` receives the backoff actually
     slept before each retry.
     """
@@ -275,31 +272,16 @@ class _Resilience:
 def auto_dse(
     function: Function,
     options: Optional[DseOptions] = None,
-    **legacy_kwargs,
 ) -> DseResult:
     """Run the two-stage DSE and install the best schedule found.
 
     All configuration travels in one :class:`~repro.dse.options.DseOptions`::
 
-        auto_dse(function, options=DseOptions(cache=False, jobs=4))
-
-    The pre-consolidation keyword form (``auto_dse(function,
-    cache=False)``) still works with identical behavior but emits one
-    :class:`DeprecationWarning` per call; see ``docs/api.md`` for the
-    deprecation policy.
+        auto_dse(function, options=DseOptions(cache=False))
 
     ``options.cache=False`` disables all memoization layers (for
     measurement); the search trajectory and the result are identical
     either way.
-
-    ``options.jobs`` > 1 enables *speculative candidate evaluation*:
-    worker processes pre-evaluate the bank-cap fallback ladder and the
-    next independent bottleneck-group trials while the search commits
-    results strictly in sequential visit order, so the best design,
-    report, and quarantine set stay bit-identical to a ``jobs=1`` sweep
-    (see :mod:`repro.dse.parallel`).  Speculation is disabled under
-    fault injection -- injected faults key on sequential candidate
-    ordinals.
 
     Crash safety (see ``docs/resilience.md``):
 
@@ -322,7 +304,8 @@ def auto_dse(
     bulk-publishes its :class:`~repro.dse.stats.DseStats` counters as
     trace metrics.  Tracing never changes the result.
     """
-    options = _coerce_options(options, legacy_kwargs)
+    if options is None:
+        options = DseOptions()
     # Function-independent validation first, before anything (device
     # scaling, estimator construction) can fail with a less precise
     # message or leave a side effect behind.
@@ -335,7 +318,6 @@ def auto_dse(
     cache = options.cache
     checkpoint = options.checkpoint
     fault_plan = options.fault_plan
-    jobs = options.jobs
     budget = device.scaled(resource_fraction) if resource_fraction < 1.0 else device
     estimator = HlsEstimator(
         device=device, clock_ns=clock_ns, memoize_reports=cache
@@ -392,7 +374,6 @@ def auto_dse(
             )
     resilience.journal = journal
 
-    speculator = None
     isl_before = _isl_memo.stats_snapshot()
     isl_was_enabled = _isl_memo.set_enabled(cache)
     previous_plan = _faults.install(fault_plan) if fault_plan is not None else None
@@ -405,50 +386,19 @@ def auto_dse(
                 function, options.keep_existing_schedule
             ),
             "cache": cache,
-            "jobs": jobs or 1,
         }
     try:
         with _trace.span("dse.auto_dse", "dse", span_args):
-            if jobs is not None and jobs > 1:
-                if fault_plan is not None:
-                    engine.note(
-                        "DSE008",
-                        "speculative evaluation is disabled under fault "
-                        "injection (faults key on sequential candidate "
-                        "ordinals); evaluating sequentially",
-                    )
-                else:
-                    from repro.dse.parallel import SpeculativeEvaluator
-
-                    try:
-                        speculator = SpeculativeEvaluator(
-                            function,
-                            device=device,
-                            clock_ns=clock_ns,
-                            keep_existing_schedule=options.keep_existing_schedule,
-                            candidate_timeout_s=options.candidate_timeout_s,
-                            jobs=jobs,
-                        )
-                    except Exception as exc:
-                        engine.note(
-                            "DSE008",
-                            f"speculative evaluation unavailable ({exc}); "
-                            "evaluating sequentially",
-                        )
-            if speculator is not None:
-                stats.speculation_jobs = speculator.jobs
             result = _search(
                 function, device, budget, estimator, stats,
                 options.max_parallelism, options.keep_existing_schedule, cache,
-                engine, quarantine, resilience, speculator,
+                engine, quarantine, resilience,
                 objective=objective, surrogate=options.surrogate,
             )
     finally:
         _isl_memo.set_enabled(isl_was_enabled)
         if fault_plan is not None:
             _faults.install(previous_plan)
-        if speculator is not None:
-            speculator.close()
         if journal is not None:
             journal.close()
 
@@ -479,41 +429,6 @@ def auto_dse(
     )
 
 
-def _coerce_options(options, legacy_kwargs: dict) -> DseOptions:
-    """Resolve the ``options``-vs-legacy-kwargs call forms.
-
-    The supported form passes a single :class:`DseOptions`.  Two legacy
-    forms are shimmed with a single :class:`DeprecationWarning` per
-    call: loose keyword arguments (``auto_dse(f, cache=False)``) and a
-    positional :class:`~repro.hls.device.FPGADevice` second argument
-    (the pre-consolidation signature).  Mixing both forms is an error
-    rather than a guess about precedence.
-    """
-    if options is not None and not isinstance(options, DseOptions):
-        # Legacy positional `device` second argument.
-        warn_deprecated(
-            "auto_dse: passing a device positionally is deprecated; "
-            "pass options=DseOptions(device=...) instead",
-            stacklevel=3,
-        )
-        legacy_kwargs = dict(legacy_kwargs, device=options)
-        return DseOptions.from_kwargs(**legacy_kwargs)
-    if legacy_kwargs:
-        if options is not None:
-            raise TypeError(
-                "auto_dse() accepts either options=DseOptions(...) or the "
-                "legacy keyword arguments, not both"
-            )
-        # Build first: a typo'd kwarg raises TypeError (as the old
-        # signature did) without also emitting a deprecation warning.
-        coerced = DseOptions.from_kwargs(**legacy_kwargs)
-        warn_deprecated_kwargs(
-            "auto_dse", "options=DseOptions(...)", legacy_kwargs, stacklevel=3
-        )
-        return coerced
-    return options if options is not None else DseOptions()
-
-
 # DseStats counters published as trace metrics at the end of a traced
 # sweep, with their metric names.  Bulk-loading from the authoritative
 # stats (instead of counting twice in the hot loops) keeps the metrics
@@ -528,8 +443,6 @@ _STATS_METRICS = (
     ("estimator_retries", "dse.estimator_retries"),
     ("replayed", "dse.replayed"),
     ("timeouts", "dse.timeouts"),
-    ("speculative_submitted", "dse.speculative_submitted"),
-    ("speculative_used", "dse.speculative_used"),
     ("eval_cache_hits", "dse.cache.evaluation.hits"),
     ("eval_cache_misses", "dse.cache.evaluation.misses"),
     ("design_cache_hits", "dse.cache.design.hits"),
@@ -579,7 +492,6 @@ def _search(
     engine: DiagnosticEngine,
     quarantine: List[QuarantinedCandidate],
     resilience: _Resilience,
-    speculator=None,
     objective: Optional[Objective] = None,
     surrogate: bool = True,
 ) -> Tuple[
@@ -784,7 +696,6 @@ def _search(
         par: Dict[str, int],
         bank_cap: int = 128,
         force: bool = False,
-        remote=None,
         exact: bool = False,
     ) -> Tuple[SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp]]:
         stats.evaluations += 1
@@ -820,37 +731,7 @@ def _search(
                 "ordinal": ordinal,
                 "bank_cap": bank_cap,
                 "parallelism": dict(par),
-                "speculative": remote is not None,
             }
-        if remote is not None:
-            # Commit a speculatively computed outcome at this candidate's
-            # sequential position: same counters, journal record, and
-            # failure semantics as the local path, with the lowering and
-            # estimation already paid for in a worker process.  No
-            # func_op exists; only rejected scores are committed this
-            # way, so the search never needs one (accepted candidates
-            # are re-evaluated locally before commit).
-            stats.speculative_used += 1
-            tracer = _trace.active()
-            if tracer is not None:
-                with tracer.span("dse.candidate", "dse", span_args):
-                    if getattr(remote, "trace", None) is not None:
-                        tracer.graft(remote.trace)
-            if not remote.ok:
-                error = DiagnosticError(remote.diagnostic)
-                if remote.diagnostic.code == "DSE003" and remote.elapsed_s is not None:
-                    error.elapsed_s = remote.elapsed_s
-                raise error
-            if journal is not None:
-                journal.append_eval(
-                    ordinal, jkey, par, bank_cap,
-                    report=remote.report, elapsed_s=remote.elapsed_s,
-                )
-            result = (remote.report, configs, None)
-            if cache:
-                eval_cache[ekey] = result
-            note_scored(par, bank_cap, remote.report)
-            return result
         if plan_hooks is not None:
             plan_hooks.enter_candidate(ordinal)
         t0 = time.perf_counter()
@@ -918,99 +799,6 @@ def _search(
 
     active = set(nodes)
 
-    # -- speculative evaluation (auto_dse(jobs=N)) --------------------------
-    # The ladder's control flow under "every trial gets rejected" is a
-    # pure function of the current latencies, so the next few trials the
-    # sequential search would really evaluate can be predicted and
-    # dispatched to worker processes ahead of time.  The search itself
-    # stays sequential: it *commits* results -- via evaluate(remote=...)
-    # -- in exactly the order it would have visited them, so cached,
-    # uncached, and speculative sweeps are bit-identical.  A mispredicted
-    # or lost speculation only costs worker time, never correctness.
-
-    def speculation_frontier(latencies: Dict[str, int]) -> List[Dict[str, int]]:
-        """The next trials the search would evaluate, assuming rejections."""
-        sim_active = set(active)
-        sim_par = dict(parallelism)
-        trials: List[Dict[str, int]] = []
-        steps = 0
-        while sim_active and len(trials) < speculator.depth and steps < 8 * len(nodes) + 8:
-            steps += 1
-            pick = _pick_bottleneck(graph, latencies, sim_active)
-            if pick is None:
-                break
-            sim_members = group_of[pick]
-            sim_trial = dict(sim_par)
-            sim_exhausted = False
-            for member in sim_members:
-                sim_trial[member] = sim_par[member] * 2
-                if sim_trial[member] > _max_parallelism(function, member, max_parallelism):
-                    sim_exhausted = True
-            if sim_exhausted:
-                sim_active.difference_update(sim_members)
-                continue
-            try:
-                with candidate_deadline():
-                    sim_plan = {
-                        member: node_config(member, sim_trial[member])
-                        for member in sim_members
-                    }
-            except KeyboardInterrupt:
-                raise
-            except Exception:
-                # The real search will re-derive and quarantine this one.
-                sim_active.difference_update(sim_members)
-                continue
-            if all(
-                sim_plan[member].unrolls == configs[member].unrolls
-                and sim_plan[member].pipeline_dim == configs[member].pipeline_dim
-                for member in sim_members
-            ):
-                sim_par = sim_trial
-                continue
-            trials.append(sim_trial)
-            sim_active.difference_update(sim_members)
-        return trials
-
-    def prefetch(trial: Dict[str, int]) -> None:
-        """Dispatch one trial's full bank-cap ladder to the workers."""
-        trial_configs_fp = tuple(
-            node_config(name, trial[name]).fingerprint() for name in nodes
-        )
-        for cap in BANK_CAPS:
-            if cache and (trial_configs_fp, cap) in eval_cache:
-                continue
-            jkey = candidate_key(trial, cap)
-            if journal is not None and journal.replay(jkey) is not None:
-                continue
-            if speculator.prefetch(trial, cap):
-                stats.speculative_submitted += 1
-
-    def evaluate_trial(
-        par: Dict[str, int], bank_cap: int
-    ) -> Tuple[SynthesisReport, Dict[str, NodeConfig], Optional[FuncOp]]:
-        """One ladder evaluation, served speculatively when possible.
-
-        A speculative score destined for *rejection* is committed as-is
-        (the search never needs its lowered function).  A score that
-        will be *accepted* is re-evaluated locally so the search owns a
-        real func_op for bottleneck attribution -- the same work the
-        sequential search performs for an accepted candidate, with the
-        rejected siblings' work offloaded to the pool.
-        """
-        if speculator is None:
-            return evaluate(par, bank_cap)
-        outcome = speculator.take(par, bank_cap)
-        if outcome is None:
-            return evaluate(par, bank_cap)
-        if (
-            outcome.ok
-            and _within_budget(outcome.report, budget)
-            and outcome.report.total_cycles < best[0].total_cycles
-        ):
-            return evaluate(par, bank_cap)
-        return evaluate(par, bank_cap, remote=outcome)
-
     try:
         while active:
             if (
@@ -1041,9 +829,6 @@ def _search(
                     "best design found so far",
                 )
                 break
-            if speculator is not None:
-                for speculative_trial in speculation_frontier(latencies):
-                    prefetch(speculative_trial)
             bottleneck = _pick_bottleneck(graph, latencies, active)
             if bottleneck is None:
                 break
@@ -1085,7 +870,7 @@ def _search(
             # units -- the paper's BICG [1,32] / II=2 design point).
             for bank_cap in BANK_CAPS:
                 try:
-                    trial_report, trial_configs, trial_func = evaluate_trial(trial, bank_cap)
+                    trial_report, trial_configs, trial_func = evaluate(trial, bank_cap)
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:
@@ -1311,9 +1096,7 @@ def _prepare_function(function: Function, keep_existing_schedule: bool):
     """Reset the function to the directives the search builds upon.
 
     Returns the structural directives and the baseline partition
-    schemes.  Shared by :func:`_search` and the speculative evaluation
-    workers (:mod:`repro.dse.parallel`), which must replicate the exact
-    pre-search state on their own copy of the function.
+    schemes.
     """
     structural = function.structural_directives()
     if not keep_existing_schedule:
@@ -1353,21 +1136,6 @@ def _apply_partitions(function: Function, saved_partitions, derived) -> None:
                 p for p in function.placeholders() if p.name == name
             )
             placeholder.partition(list(factors), "cyclic")
-
-
-def _install(
-    function: Function,
-    plan: Stage1Plan,
-    configs,
-    saved_partitions,
-    bank_cap: int = 128,
-    structural=(),
-) -> None:
-    """Install a trial schedule and derived partitions on the function."""
-    _install_schedule(function, plan, configs, structural)
-    _apply_partitions(
-        function, saved_partitions, derive_partitions(function, max_banks=bank_cap)
-    )
 
 
 def _within_budget(report: SynthesisReport, budget: FPGADevice) -> bool:

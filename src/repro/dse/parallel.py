@@ -1,79 +1,37 @@
-"""The parallel DSE execution layer: sharded sweeps + speculation.
+"""The parallel DSE execution layer: sharded sweeps.
 
-Two independent mechanisms, both preserving the engine's determinism
-guarantee (parallel runs are bit-identical to sequential runs):
-
-* **Sharded sweeps** (:func:`run_sharded_sweep`) run one full
-  ``auto_dse`` sweep per workload in its own worker process.  Shards
-  share nothing at runtime -- each gets its own checkpoint journal,
-  its own estimator/isl memo tables (process-local), and its own
-  quarantine -- and the driver merges :class:`~repro.dse.stats.DseStats`,
-  diagnostics, and quarantine records *in shard declaration order*, so
-  the merged artifacts do not depend on which worker finished first.
-  A worker that dies mid-shard (a real crash or an injected one) loses
-  only that shard; the driver retries it in-process, resuming from the
-  shard's journal when one was being written.
-
-* **Speculative candidate evaluation** (:class:`SpeculativeEvaluator`)
-  accelerates a *single* sweep (``auto_dse(jobs=N)``).  The ladder
-  search's trajectory is a pure function of per-candidate scores, so
-  the engine predicts the next candidates it would evaluate (the
-  bank-cap fallback ladder ``(128, 16, 8)`` of the next independent
-  bottleneck-group trials), dispatches them to persistent worker
-  processes ahead of time, and *commits* the scores strictly in
-  sequential visit order.  Workers replicate the search preamble
-  (:func:`~repro.dse.engine._prepare_function`, stage 1 planning) on
-  their own copy of the function, then run the exact per-candidate
-  pipeline -- plan configs, install schedule, derive partitions, lower,
-  estimate with deadline-aware retries -- and ship back a picklable
-  :class:`SpeculativeOutcome` (a score or a structured diagnostic).
-  A lost or mispredicted speculation costs only worker time: the
-  engine falls back to evaluating locally whenever the pool cannot
-  deliver (see :meth:`~repro.util.pool.WorkerPool.result`).
+:func:`run_sharded_sweep` runs one full ``auto_dse`` sweep per workload
+in its own worker process, preserving the engine's determinism
+guarantee (parallel runs are bit-identical to sequential runs).  Shards
+share nothing at runtime -- each gets its own checkpoint journal, its
+own estimator/isl memo tables (process-local), and its own quarantine
+-- and the driver merges :class:`~repro.dse.stats.DseStats`,
+diagnostics, and quarantine records *in shard declaration order*, so the
+merged artifacts do not depend on which worker finished first.  A
+worker that dies mid-shard (a real crash or an injected one) loses only
+that shard; the driver retries it in-process, resuming from the shard's
+journal when one was being written.
 
 Memo isolation: every memo layer involved is process-local -- the
 estimator's report memo is per-:class:`~repro.hls.estimator.HlsEstimator`
-instance, and the global isl tables (:mod:`repro.isl.memo`) are
-per-process module state -- so workers never share or corrupt each
-other's caches, and a worker's warm cache cannot change results (memoized
-and unmemoized runs are bit-identical by construction).
+instance, and the isl tables (:mod:`repro.isl.memo`) are per-process
+state -- so workers never share or corrupt each other's caches, and a
+worker's warm cache cannot change results (memoized and unmemoized runs
+are bit-identical by construction).
 """
 
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
-from repro.diagnostics import (
-    Diagnostic,
-    DiagnosticError,
-    Severity,
-    SourceLocation,
-)
-from repro.dse.checkpoint import candidate_key
-from repro.dse.engine import (
-    DseResult,
-    QuarantinedCandidate,
-    _apply_partitions,
-    _estimate_with_retries,
-    _install_schedule,
-    _prepare_function,
-    auto_dse,
-)
+from repro.diagnostics import Diagnostic
+from repro.dse.engine import DseResult, QuarantinedCandidate, auto_dse
 from repro.dse.options import DseOptions
-from repro.dse.stage1 import plan_stage1
-from repro.dse.stage2 import derive_partitions, plan_node_config, stage1_program
 from repro.dse.stats import DseStats
 from repro import trace as _trace
-from repro.affine.lowering import lower_program_incremental
-from repro.depgraph.graph import build_dependence_graph
-from repro.hls.device import DEFAULT_DEVICE, FPGADevice
-from repro.hls.estimator import HlsEstimator
-from repro.polyir.program import PolyProgram
-from repro.util.deadline import Deadline, DeadlineExceeded, deadline_scope
-from repro.util.pool import WorkerPool, available_jobs, run_ordered
+from repro.util.pool import available_jobs, run_ordered
 
 # The default sweep `repro dse --all` and the parallel benchmark run:
 # the paper's Table III polybench workloads.
@@ -94,234 +52,6 @@ def build_workload(name: str, size: Optional[int] = None):
     return workloads.get(name, size)
 
 
-# -- speculative candidate evaluation ----------------------------------------
-
-
-@dataclass
-class SpeculativeOutcome:
-    """One worker-evaluated candidate: a score or a structured failure.
-
-    Mirrors the two terminal states of the engine's local evaluation --
-    ``ok`` carries the :class:`SynthesisReport` the sequential search
-    would have computed; a failure carries the :class:`Diagnostic` the
-    sequential search would have quarantined (``elapsed_s`` preserves
-    DSE003 watchdog accounting).  Everything here is picklable.
-    """
-
-    ok: bool
-    report: Optional[object] = None
-    diagnostic: Optional[Diagnostic] = None
-    elapsed_s: Optional[float] = None
-    #: Worker-side spans/metrics (when the driver traces); grafted under
-    #: the committing candidate's span in sequential commit order.
-    trace: Optional[_trace.TraceData] = None
-
-
-@dataclass
-class _WorkerState:
-    """Per-worker replica of the sequential search's evaluation state."""
-
-    function: object
-    estimator: HlsEstimator
-    structural: tuple
-    saved_partitions: dict
-    plan: object
-    program: object
-    nodes: List[str]
-    candidate_timeout_s: Optional[float]
-    trace: bool = False
-    config_cache: Dict[Tuple[str, int], object] = field(default_factory=dict)
-    nest_cache: Dict[tuple, list] = field(default_factory=dict)
-
-
-def _spec_init(
-    function,
-    device: FPGADevice,
-    clock_ns: float,
-    keep_existing_schedule: bool,
-    candidate_timeout_s: Optional[float],
-    trace: bool = False,
-) -> _WorkerState:
-    """Worker initializer: replicate the search preamble once.
-
-    Runs in the worker process on its own copy of the function (forked
-    or unpickled before the parent's search mutates it), mirroring
-    ``_search``: reset to structural directives, plan stage 1, build the
-    shared polyhedral program.
-    """
-    # A forked worker inherits the driver's active tracer object; it
-    # must never record into that orphaned copy.  Per-candidate tracing
-    # (when requested) uses a fresh local tracer in _spec_eval.
-    _trace.install(None)
-    estimator = HlsEstimator(device=device, clock_ns=clock_ns, memoize_reports=True)
-    structural, saved_partitions = _prepare_function(function, keep_existing_schedule)
-    graph = build_dependence_graph(function, analyze=False)
-    plan = plan_stage1(function, graph)
-    program = stage1_program(function, plan)
-    return _WorkerState(
-        function=function,
-        estimator=estimator,
-        structural=structural,
-        saved_partitions=saved_partitions,
-        plan=plan,
-        program=program,
-        nodes=[c.name for c in function.computes],
-        candidate_timeout_s=candidate_timeout_s,
-        trace=trace,
-    )
-
-
-def _spec_eval(state: _WorkerState, payload) -> SpeculativeOutcome:
-    """Evaluate one ``(parallelism, bank_cap)`` candidate in a worker.
-
-    The exact per-candidate pipeline of the sequential search -- plan
-    node configs, install the trial schedule, derive and apply
-    partitions, lower incrementally, estimate with deadline-aware
-    retries -- under the same per-candidate watchdog, producing either
-    the identical report or the identical diagnostic.  When the driver
-    traces, the candidate's spans are captured into a local tracer and
-    shipped back on the outcome.
-    """
-    if not state.trace:
-        return _spec_eval_untraced(state, payload)
-    tracer = _trace.Tracer()
-    previous = _trace.install(tracer)
-    try:
-        outcome = _spec_eval_untraced(state, payload)
-    finally:
-        _trace.install(previous)
-    outcome.trace = tracer.export_data()
-    return outcome
-
-
-def _spec_eval_untraced(state: _WorkerState, payload) -> SpeculativeOutcome:
-    par, bank_cap = payload
-    function = state.function
-    location = SourceLocation(function=function.name)
-    t0 = time.perf_counter()
-    try:
-        configs = {}
-        for name in state.nodes:
-            key = (name, par[name])
-            config = state.config_cache.get(key)
-            if config is None:
-                config = plan_node_config(
-                    function, state.plan, name, par[name], program=state.program
-                )
-                state.config_cache[key] = config
-            configs[name] = config
-        def body():
-            _install_schedule(
-                function, state.plan, configs, state.structural, state.program
-            )
-            derived = derive_partitions(function, max_banks=bank_cap)
-            _apply_partitions(function, state.saved_partitions, derived)
-            scheduled = PolyProgram(function).apply_schedule()
-            func_op = lower_program_incremental(scheduled, cache=state.nest_cache)
-            return _estimate_with_retries(state.estimator, func_op, location=location)
-
-        try:
-            if state.candidate_timeout_s is not None:
-                with deadline_scope(Deadline(state.candidate_timeout_s)):
-                    report = body()
-            else:
-                report = body()
-        except DeadlineExceeded as exc:
-            error = DiagnosticError(
-                f"candidate evaluation timed out after {exc.elapsed_s:.3f}s "
-                f"(budget {exc.budget_s:.3f}s)",
-                code="DSE003",
-                location=location,
-            )
-            error.elapsed_s = exc.elapsed_s
-            raise error from exc
-        return SpeculativeOutcome(
-            ok=True, report=report, elapsed_s=time.perf_counter() - t0
-        )
-    except Exception as exc:
-        if isinstance(exc, DiagnosticError):
-            diagnostic = exc.diagnostic
-        else:
-            diagnostic = Diagnostic(
-                Severity.ERROR,
-                "DSE001",
-                f"{type(exc).__name__}: {exc}",
-                location=location,
-            )
-        return SpeculativeOutcome(
-            ok=False, diagnostic=diagnostic, elapsed_s=getattr(exc, "elapsed_s", None)
-        )
-
-
-class SpeculativeEvaluator:
-    """Persistent worker pool pre-evaluating predicted candidates.
-
-    Constructed by ``auto_dse(jobs=N)`` before the search mutates the
-    function: workers capture the pristine pre-search function and
-    replicate the search preamble on it (:func:`_spec_init`).  The
-    engine then :meth:`prefetch`-es candidates its frontier simulation
-    predicts, and :meth:`take`-s them at their sequential visit
-    position.  ``take`` returns ``None`` for anything the pool cannot
-    deliver -- never prefetched, worker died, pool broken -- and the
-    engine evaluates locally; speculation can only lose speedup, never
-    answers or determinism.
-    """
-
-    def __init__(
-        self,
-        function,
-        device: Optional[FPGADevice] = None,
-        clock_ns: float = 10.0,
-        keep_existing_schedule: bool = False,
-        candidate_timeout_s: Optional[float] = None,
-        jobs: int = 2,
-    ):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        # How many independent bottleneck-group trials the engine's
-        # frontier simulation looks ahead; each trial fans out into the
-        # full bank-cap ladder, so `jobs` trials keep the pool busy.
-        self.depth = max(2, jobs)
-        self._tickets: Dict[str, int] = {}
-        self._pool = WorkerPool(
-            _spec_init,
-            (function, device or DEFAULT_DEVICE, clock_ns, keep_existing_schedule,
-             candidate_timeout_s, _trace.enabled()),
-            _spec_eval,
-            jobs,
-        )
-
-    def prefetch(self, parallelism: Dict[str, int], bank_cap: int) -> bool:
-        """Queue one candidate for a worker; False if already queued/broken."""
-        if self._pool.broken:
-            return False
-        key = candidate_key(parallelism, bank_cap)
-        if key in self._tickets:
-            return False
-        self._tickets[key] = self._pool.submit((dict(parallelism), bank_cap))
-        return True
-
-    def take(self, parallelism: Dict[str, int], bank_cap: int):
-        """The outcome for a prefetched candidate, or None to go local.
-
-        Blocks until the worker finishes when the candidate is in
-        flight -- the work is already paid for; waiting for it is never
-        slower than redoing it locally.
-        """
-        key = candidate_key(parallelism, bank_cap)
-        ticket = self._tickets.pop(key, None)
-        if ticket is None:
-            return None
-        return self._pool.result(ticket)
-
-    def close(self) -> None:
-        self._pool.close()
-
-
-# -- sharded sweeps ----------------------------------------------------------
-
-
 @dataclass
 class ShardSpec:
     """One workload's sweep in a sharded run (picklable task payload)."""
@@ -337,7 +67,6 @@ class ShardSpec:
     candidate_timeout_s: Optional[float] = None
     time_budget_s: Optional[float] = None
     fault_plan: Optional[object] = None
-    jobs: int = 1  # speculation inside this shard (auto_dse(jobs=...))
     trace: bool = False  # record a worker-side trace, shipped on the result
     objective: str = "single"  # objective spec (repro.dse.pareto)
     surrogate: bool = True  # frontier modes: allow provable-skip copies
@@ -361,7 +90,6 @@ class ShardSpec:
             candidate_timeout_s=self.candidate_timeout_s,
             time_budget_s=self.time_budget_s,
             fault_plan=self.fault_plan,
-            jobs=self.jobs if self.jobs > 1 else None,
             objective=self.objective,
             surrogate=self.surrogate,
         )

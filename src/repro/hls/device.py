@@ -13,10 +13,6 @@ well as "which schedule" (ROADMAP item 4).  Look parts up with
     get_device("xc7z020")            # the paper's part
     get_device("xczu9eg@50%")        # half of every budget
     get_device("xcku060@300mhz")     # retimed clock target
-
-Importing the bare ``XC7Z020`` constant still works but is deprecated
-(one :class:`DeprecationWarning` per import, per ``docs/api.md``); use
-``get_device("xc7z020")`` or :data:`DEFAULT_DEVICE`.
 """
 
 from __future__ import annotations
@@ -135,7 +131,7 @@ DEVICES: Dict[str, FPGADevice] = {
     )
 }
 
-#: The paper's target, under its modern (non-deprecated) name.
+#: The paper's target.
 DEFAULT_DEVICE = DEVICES["xc7z020"]
 
 _SUFFIX = re.compile(r"^(?:(?P<percent>\d+(?:\.\d+)?)%|(?P<mhz>\d+(?:\.\d+)?)mhz)$")
@@ -180,16 +176,3 @@ def get_device(name: str) -> FPGADevice:
             device = device.at_clock(float(match.group("mhz")))
     return device
 
-
-def __getattr__(attribute):
-    if attribute == "XC7Z020":
-        from repro.util.deprecation import warn_deprecated
-
-        warn_deprecated(
-            "repro.hls.device.XC7Z020 is deprecated; use "
-            "get_device('xc7z020') or DEFAULT_DEVICE instead"
-        )
-        return DEFAULT_DEVICE
-    raise AttributeError(
-        f"module 'repro.hls.device' has no attribute {attribute!r}"
-    )

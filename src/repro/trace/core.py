@@ -25,11 +25,11 @@ Tracing is observational only: no instrumented code path reads a span
 or metric back, so results are bit-identical with tracing on or off
 (asserted by ``tests/trace/test_bit_identity.py``).
 
-Worker processes (sharded sweeps, speculative evaluation, parallel
-``report_all``) cannot share the driver's tracer; they record into a
-local tracer and ship a picklable :class:`TraceData` back, which the
-driver grafts via :meth:`Tracer.graft` (nested under its current span)
-or :meth:`Tracer.adopt_thread` (as a named parallel track), always in
+Worker processes (sharded sweeps, parallel ``report_all``) cannot
+share the driver's tracer; they record into a local tracer and ship a
+picklable :class:`TraceData` back, which the driver grafts via
+:meth:`Tracer.graft` (nested under its current span) or
+:meth:`Tracer.adopt_thread` (as a named parallel track), always in
 deterministic declaration order.
 """
 
@@ -208,9 +208,7 @@ class Tracer:
         rebased so the worker's first span starts "now" in this tracer's
         timeline (wall alignment across processes is not recoverable,
         and nothing downstream depends on it).  Metrics merge by
-        summation.  Deterministic given a deterministic call order --
-        which the DSE engine guarantees by committing speculative
-        outcomes in sequential visit order.
+        summation.  Deterministic given a deterministic call order.
         """
         self._graft(data, tid=None)
 

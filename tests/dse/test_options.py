@@ -1,18 +1,10 @@
-"""DseOptions consolidation: parity with the legacy kwarg surface.
-
-The deprecation contract (``docs/api.md``): every legacy call form --
-loose keyword arguments on ``auto_dse``/``Function.auto_DSE``, the
-positional device argument, the pre-unification CLI spellings -- keeps
-working, behaves *identically* to the ``DseOptions`` form, and warns
-exactly once per call.
-"""
+"""DseOptions: the one configuration surface of ``auto_dse``."""
 
 import warnings
 
 import pytest
 
 from repro.dse import MAX_PARALLELISM, DseOptions, auto_dse
-from repro.hls import DEFAULT_DEVICE
 from repro.workloads import polybench
 
 
@@ -25,60 +17,14 @@ def _outcome(result):
     )
 
 
-def _legacy(call):
-    """Run a deprecated call form, asserting exactly one warning."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = call()
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1, [str(w.message) for w in caught]
-    return result, str(deprecations[0].message)
-
-
 class TestParity:
-    def test_kwargs_and_options_identical(self):
-        legacy, _ = _legacy(
-            lambda: auto_dse(polybench.gemm(16), resource_fraction=0.5, cache=False)
-        )
-        modern = auto_dse(
-            polybench.gemm(16),
-            options=DseOptions(resource_fraction=0.5, cache=False),
-        )
-        assert _outcome(legacy) == _outcome(modern)
-
     def test_default_options_match_no_options(self):
         bare = auto_dse(polybench.gemm(16))
         explicit = auto_dse(polybench.gemm(16), options=DseOptions())
         assert _outcome(bare) == _outcome(explicit)
 
-    def test_method_kwargs_and_options_identical(self):
-        legacy, _ = _legacy(
-            lambda: polybench.gemm(16).auto_DSE(resource_fraction=0.5)
-        )
-        modern = polybench.gemm(16).auto_DSE(
-            options=DseOptions(resource_fraction=0.5)
-        )
-        assert _outcome(legacy) == _outcome(modern)
-
-    def test_positional_device_matches_options_device(self):
-        legacy, message = _legacy(lambda: auto_dse(polybench.gemm(16), DEFAULT_DEVICE))
-        modern = auto_dse(polybench.gemm(16), options=DseOptions(device=DEFAULT_DEVICE))
-        assert _outcome(legacy) == _outcome(modern)
-        assert "DseOptions" in message
-
 
 class TestWarningDiscipline:
-    def test_function_kwargs_warn_once_naming_all_kwargs(self):
-        _, message = _legacy(
-            lambda: auto_dse(polybench.gemm(16), cache=False, resource_fraction=0.5)
-        )
-        assert "cache" in message and "resource_fraction" in message
-        assert "DseOptions" in message
-
-    def test_method_kwargs_warn_once(self):
-        _, message = _legacy(lambda: polybench.gemm(16).auto_DSE(cache=False))
-        assert "auto_DSE" in message
-
     def test_options_form_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -87,12 +33,6 @@ class TestWarningDiscipline:
 
 
 class TestErrors:
-    def test_mixing_options_and_kwargs_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            auto_dse(polybench.gemm(16), options=DseOptions(), cache=False)
-        with pytest.raises(TypeError, match="not both"):
-            polybench.gemm(16).auto_DSE(options=DseOptions(), cache=False)
-
     def test_unknown_kwarg_raises_like_the_old_signature(self):
         # A typo'd kwarg is an error, not a deprecation: no warning.
         with warnings.catch_warnings():
@@ -111,6 +51,7 @@ class TestErrors:
             ({"candidate_timeout_s": -1.0}, "candidate_timeout_s must be >= 0"),
             ({"time_budget_s": -1.0}, "deadline budget must be >= 0"),
             ({"jobs": 0}, "jobs must be >= 1"),
+            ({"jobs": 2}, "run_sharded_sweep"),
         ],
     )
     def test_validate_messages(self, changes, match):
@@ -137,18 +78,6 @@ class TestDataclassSurface:
         tweaked = base.replace(cache=False, jobs=4)
         assert tweaked.cache is False and tweaked.jobs == 4
         assert base.cache is True and base.jobs is None
-
-    def test_from_kwargs_seeds_from_base(self):
-        base = DseOptions(resource_fraction=0.5)
-        options = DseOptions.from_kwargs(base, cache=False)
-        assert options.resource_fraction == 0.5
-        assert options.cache is False
-
-    def test_from_kwargs_rejects_unknown(self):
-        with pytest.raises(
-            TypeError, match="unexpected keyword argument 'nope'"
-        ):
-            DseOptions.from_kwargs(nope=1)
 
     def test_field_names_cover_legacy_surface(self):
         names = set(DseOptions.field_names())

@@ -189,15 +189,10 @@ class TestScaling:
 
 
 class TestDeprecatedImport:
-    def test_bare_constant_warns_and_aliases_default(self):
-        import repro.hls.device as device_module
-
-        with pytest.warns(DeprecationWarning, match="XC7Z020"):
-            legacy = device_module.XC7Z020
-        assert legacy is DEFAULT_DEVICE
-
     def test_unknown_attribute_still_raises(self):
         import repro.hls.device as device_module
 
         with pytest.raises(AttributeError, match="no attribute 'NOPE'"):
             device_module.NOPE
+        with pytest.raises(AttributeError, match="no attribute 'XC7Z020'"):
+            device_module.XC7Z020

@@ -126,8 +126,11 @@ class TestNoStrayJournalOnEarlyRaise:
 
     def test_bad_jobs(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
             auto_dse(polybench.gemm(16), options=DseOptions(checkpoint=str(journal), jobs=-2))
+        self._assert_no_journal(journal)
+        with pytest.raises(ValueError, match="run_sharded_sweep"):
+            auto_dse(polybench.gemm(16), options=DseOptions(checkpoint=str(journal), jobs=2))
         self._assert_no_journal(journal)
 
     def test_hang_plan_without_watchdog(self, tmp_path):

@@ -171,11 +171,11 @@ def test_quarantine_and_diagnostics_merge_in_shard_order():
 
 def test_stats_merge_unit_semantics():
     a = DseStats(cache_enabled=True)
-    a.evaluations, a.total_s, a.speculation_jobs = 3, 1.5, 4
+    a.evaluations, a.total_s = 3, 1.5
     a.interrupted = True
     a.isl_counters = {"bounds": (10, 2), "emptiness": (1, 1)}
     b = DseStats(cache_enabled=False)
-    b.evaluations, b.total_s, b.speculation_jobs = 5, 0.25, 2
+    b.evaluations, b.total_s = 5, 0.25
     b.time_budget_hit = True
     b.isl_counters = {"bounds": (5, 5)}
     merged = DseStats.merge([a, b])
@@ -184,13 +184,11 @@ def test_stats_merge_unit_semantics():
     assert merged.cache_enabled is False      # all()
     assert merged.interrupted is True         # any()
     assert merged.time_budget_hit is True     # any()
-    assert merged.speculation_jobs == 4       # max()
     assert merged.isl_counters == {"bounds": (15, 7), "emptiness": (1, 1)}
 
 
 def test_stats_merge_of_nothing_is_the_default():
     merged = DseStats.merge([])
     assert merged.evaluations == 0
-    assert merged.speculation_jobs == 0
     assert merged.cache_enabled is True  # all() over nothing
     assert merged.isl_counters == {}

@@ -36,6 +36,7 @@ class TestValidation:
             {"kind": "dse", "workload": "gemm", "fault": {"surprise": 1}},
             {"kind": "dse", "workload": "gemm", "fault": {"rate": 0.5}},
             {"kind": "dse", "workload": "gemm", "session": 7},
+            {"kind": "dse", "workload": "gemm", "options": {"jobs": 2}},
         ],
     )
     def test_rejects_bad_requests(self, body):

@@ -3,8 +3,7 @@
 Asserts the flag-unification invariants promised in ``docs/api.md``:
 ``--jobs/--checkpoint/--stats/--trace`` spell and document identically
 across ``repro dse``, ``repro verify``, ``repro trace``, and
-``report_all``; the pre-unification spellings still parse but warn and
-are hidden from ``--help``.
+``report_all``; the pre-unification spellings are gone.
 """
 
 import argparse
@@ -35,10 +34,9 @@ def _subparser(name):
 
 class TestFlagUnification:
     def test_canonical_flags_document_identically(self):
-        for command in ("dse", "trace"):
-            help_text = _subparser(command).format_help()
-            assert "--jobs" in help_text, command
-            assert JOBS_HELP.split(";")[0] in " ".join(help_text.split()), command
+        help_text = _subparser("dse").format_help()
+        assert "--jobs" in help_text
+        assert JOBS_HELP.split(";")[0] in " ".join(help_text.split())
         for command in ("dse", "verify"):
             help_text = " ".join(_subparser(command).format_help().split())
             assert STATS_HELP in help_text, command
@@ -52,21 +50,6 @@ class TestFlagUnification:
             help_text = _subparser(command).format_help()
             for alias in ("--parallel", "--journal", "--profile", "--trace-out"):
                 assert alias not in help_text, (command, alias)
-
-    def test_aliases_parse_to_canonical_dests_and_warn(self):
-        parser = build_parser()
-        with pytest.warns(DeprecationWarning, match="--parallel.*--jobs"):
-            args = parser.parse_args(["dse", "gemm", "--parallel", "2"])
-        assert args.jobs == 2
-        with pytest.warns(DeprecationWarning, match="--journal.*--checkpoint"):
-            args = parser.parse_args(["dse", "gemm", "--journal", "j.jsonl"])
-        assert args.checkpoint == "j.jsonl"
-        with pytest.warns(DeprecationWarning, match="--profile.*--stats"):
-            args = parser.parse_args(["dse", "gemm", "--profile"])
-        assert args.stats is True
-        with pytest.warns(DeprecationWarning, match="--trace-out.*--trace"):
-            args = parser.parse_args(["verify", "gemm", "--trace-out", "t.json"])
-        assert args.trace == "t.json"
 
     def test_canonical_flags_do_not_warn(self, recwarn):
         args = build_parser().parse_args(
@@ -143,6 +126,23 @@ class TestTraceSubcommand:
         assert rc == 0
         assert "dse.auto_dse" in capsys.readouterr().out
         assert set(span_categories(load_chrome_trace(str(out_path))))
+
+    def test_jobs_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "gemm", "--dse", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+class TestSingleWorkloadJobs:
+    def test_dse_jobs_without_all_exits_2(self, capsys):
+        rc = main(["dse", "gemm", "--size", "16", "--jobs", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert "--all" in lines[0]
 
 
 class TestVerifyTraceFlags:
