@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import trace as _trace
 from repro.dsl.compute import Compute
 from repro.dsl.expr import Access
 from repro.isl.affine import AffineExpr
@@ -102,6 +103,37 @@ def _sink_name(dim: str) -> str:
     return dim + _SINK_SUFFIX
 
 
+def _pair_relation(
+    dims: Sequence[str],
+    domain: BasicSet,
+    src_idx: Sequence[AffineExpr],
+    snk_idx: Sequence[AffineExpr],
+) -> BasicSet:
+    """Instances ``(v, v')`` of ``domain`` with ``src(v) == snk(v')``."""
+    sink_dims = [_sink_name(d) for d in dims]
+    snk_rename = dict(zip(dims, sink_dims))
+    constraints = list(domain.constraints)
+    constraints += domain.rename_dims(snk_rename).constraints
+    constraints += [
+        Constraint.eq(s_expr, k_expr.rename(snk_rename))
+        for s_expr, k_expr in zip(src_idx, snk_idx)
+    ]
+    return BasicSet(tuple(dims) + tuple(sink_dims), constraints)
+
+
+def _carried_at(dims: Sequence[str], level: int) -> List[Constraint]:
+    """Equality on every dim above ``level``, strict ``<`` at ``level``."""
+    constraints = [
+        Constraint.eq(AffineExpr.var(d), AffineExpr.var(_sink_name(d)))
+        for d in dims[:level]
+    ]
+    carried = dims[level]
+    constraints.append(
+        Constraint.lt(AffineExpr.var(carried), AffineExpr.var(_sink_name(carried)))
+    )
+    return constraints
+
+
 def dependence_relation(
     compute: Compute,
     src: Access,
@@ -114,37 +146,21 @@ def dependence_relation(
     on all dims above ``level`` and strict inequality at ``level``.
     """
     dims = compute.iter_names
-    sink_dims = [_sink_name(d) for d in dims]
-    domain = domain_of(compute)
-    src_dom = domain
-    snk_dom = domain.rename_dims(dict(zip(dims, sink_dims)))
-
-    all_dims = tuple(dims) + tuple(sink_dims)
-    relation = BasicSet(all_dims, [])
-    relation = relation.with_constraints(src_dom.constraints)
-    relation = relation.with_constraints(snk_dom.constraints)
-
-    # Access equality: src indices at v equal snk indices at v'.
-    snk_rename = dict(zip(dims, sink_dims))
-    for src_index, snk_index in zip(src.affine_indices(), snk.affine_indices()):
-        relation = relation.with_constraints(
-            [Constraint.eq(src_index, snk_index.rename(snk_rename))]
-        )
-
-    # Lexicographic carrying at `level`.
-    constraints = []
-    for d in dims[:level]:
-        constraints.append(Constraint.eq(AffineExpr.var(d), AffineExpr.var(_sink_name(d))))
-    carried = dims[level]
-    constraints.append(
-        Constraint.lt(AffineExpr.var(carried), AffineExpr.var(_sink_name(carried)))
+    base = _pair_relation(
+        dims, domain_of(compute), src.affine_indices(), snk.affine_indices()
     )
-    return relation.with_constraints(constraints)
+    return base.with_constraints(_carried_at(dims, level))
 
 
-def _distance_entry(relation: BasicSet, dim: str) -> Optional[int]:
-    """The constant value of ``dim' - dim`` over the relation, or None."""
-    sample = relation.sample()
+def _distance_entry(
+    relation: BasicSet, dim: str, sample: Optional[Dict[str, int]]
+) -> Optional[int]:
+    """The constant value of ``dim' - dim`` over the relation, or None.
+
+    ``sample`` is any point of the relation (None when it has none).
+    The result does not depend on which point it is: the point's
+    distance is the answer exactly when no point lies above or below it.
+    """
     if sample is None:
         return None
     delta = AffineExpr.var(_sink_name(dim)) - AffineExpr.var(dim)
@@ -171,19 +187,31 @@ def _min_distance(relation: BasicSet, dim: str, extent: int) -> Optional[int]:
     return lo
 
 
-def _access_pairs(compute: Compute) -> List[Tuple[str, Access, Access]]:
-    """(kind, src, snk) pairs to analyze for self-dependences."""
-    store = compute.store()
-    pairs: List[Tuple[str, Access, Access]] = []
-    seen_raw = set()
-    for load in compute.loads():
-        if load.array_name == store.array_name:
-            key = tuple(map(str, load.indices))
-            if key not in seen_raw:
-                seen_raw.add(key)
-                pairs.append((RAW, store, load))
-                pairs.append((WAR, load, store))
-    pairs.append((WAW, store, store))
+def access_pairs(
+    store: Access, loads: Sequence[Access], kinds: Sequence[str] = (RAW, WAR, WAW)
+) -> List[Tuple[str, str, List[AffineExpr], List[AffineExpr]]]:
+    """Self-dependence ``(kind, array, src_indices, snk_indices)`` pairs.
+
+    One RAW (store, load) and one WAR (load, store) pair per distinct
+    load of the stored array, then the WAW pair of the store with
+    itself; ``kinds`` keeps a subset.
+    """
+    array = store.array_name
+    store_idx = store.affine_indices()
+    pairs = []
+    seen = set()
+    for load in loads:
+        key = tuple(map(str, load.indices))
+        if load.array_name != array or key in seen:
+            continue
+        seen.add(key)
+        load_idx = load.affine_indices()
+        if RAW in kinds:
+            pairs.append((RAW, array, store_idx, load_idx))
+        if WAR in kinds:
+            pairs.append((WAR, array, load_idx, store_idx))
+    if WAW in kinds:
+        pairs.append((WAW, array, store_idx, store_idx))
     return pairs
 
 
@@ -201,49 +229,31 @@ def carried_dependences_generic(
     estimator runs on the affine dialect (where loop structure no longer
     matches the original computes).
     """
-    dims = list(dims)
-    sink_dims = [_sink_name(d) for d in dims]
-    snk_rename = dict(zip(dims, sink_dims))
-    src_dom = domain
-    snk_dom = domain.rename_dims(snk_rename)
+    dims = tuple(dims)
     results: List[CarriedDependence] = []
-
-    for kind, array, src_idx, snk_idx in pairs:
-        base = BasicSet(tuple(dims) + tuple(sink_dims), [])
-        base = base.with_constraints(src_dom.constraints)
-        base = base.with_constraints(snk_dom.constraints)
-        for s_expr, k_expr in zip(src_idx, snk_idx):
-            base = base.with_constraints(
-                [Constraint.eq(s_expr, k_expr.rename(snk_rename))]
-            )
-        for level in range(len(dims)):
-            constraints = []
-            for d in dims[:level]:
-                constraints.append(
-                    Constraint.eq(AffineExpr.var(d), AffineExpr.var(_sink_name(d)))
+    with _trace.span("depgraph.carried", "depgraph"):
+        for kind, array, src_idx, snk_idx in pairs:
+            base = _pair_relation(dims, domain, src_idx, snk_idx)
+            for level, carried in enumerate(dims):
+                relation = base.with_constraints(_carried_at(dims, level))
+                if relation.is_empty():
+                    continue
+                sample = relation.sample()
+                entries = tuple(_distance_entry(relation, d, sample) for d in dims)
+                distance = DistanceVector(dims, entries)
+                results.append(
+                    CarriedDependence(
+                        array=array,
+                        kind=kind,
+                        level=level,
+                        dims=dims,
+                        distance=distance,
+                        direction=distance.direction(),
+                        min_distance=_min_distance(
+                            relation, carried, extents.get(carried, 1)
+                        ),
+                    )
                 )
-            carried = dims[level]
-            constraints.append(
-                Constraint.lt(AffineExpr.var(carried), AffineExpr.var(_sink_name(carried)))
-            )
-            relation = base.with_constraints(constraints)
-            if relation.is_empty():
-                continue
-            entries = tuple(_distance_entry(relation, d) for d in dims)
-            distance = DistanceVector(tuple(dims), entries)
-            extent = extents.get(carried, 1)
-            min_dist = _min_distance(relation, carried, extent)
-            results.append(
-                CarriedDependence(
-                    array=array,
-                    kind=kind,
-                    level=level,
-                    dims=tuple(dims),
-                    distance=distance,
-                    direction=distance.direction(),
-                    min_distance=min_dist,
-                )
-            )
     return results
 
 
@@ -251,7 +261,6 @@ def analyze_compute(compute: Compute) -> NodeAnalysis:
     """Full fine-grained analysis of one compute node."""
     analysis = NodeAnalysis(compute=compute)
     dims = compute.iter_names
-    bounds = compute.domain_bounds()
 
     # Reduction dims: iteration dims absent from the destination pattern.
     dest_dims = set()
@@ -259,27 +268,11 @@ def analyze_compute(compute: Compute) -> NodeAnalysis:
         dest_dims.update(index.dims())
     analysis.reduction_dims = [d for d in dims if d not in dest_dims]
 
-    for kind, src, snk in _access_pairs(compute):
-        for level in range(len(dims)):
-            relation = dependence_relation(compute, src, snk, level)
-            if relation.is_empty():
-                continue
-            entries = tuple(_distance_entry(relation, d) for d in dims)
-            distance = DistanceVector(tuple(dims), entries)
-            carried_dim = dims[level]
-            extent = bounds[carried_dim][1] - bounds[carried_dim][0] + 1
-            min_dist = _min_distance(relation, carried_dim, extent)
-            analysis.carried.append(
-                CarriedDependence(
-                    array=src.array_name,
-                    kind=kind,
-                    level=level,
-                    dims=tuple(dims),
-                    distance=distance,
-                    direction=distance.direction(),
-                    min_distance=min_dist,
-                )
-            )
+    pairs = access_pairs(compute.store(), compute.loads())
+    extents = {d: hi - lo + 1 for d, (lo, hi) in compute.domain_bounds().items()}
+    analysis.carried = carried_dependences_generic(
+        dims, domain_of(compute), pairs, extents
+    )
     return analysis
 
 

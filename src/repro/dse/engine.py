@@ -1128,14 +1128,12 @@ def _install_schedule(
 
 def _apply_partitions(function: Function, saved_partitions, derived) -> None:
     """Reset partition schemes to the saved baseline, then apply derived."""
-    for placeholder in function.placeholders():
-        placeholder.partition_scheme = saved_partitions.get(placeholder.name)
+    placeholders = {p.name: p for p in function.placeholders()}
+    for name, placeholder in placeholders.items():
+        placeholder.partition_scheme = saved_partitions.get(name)
     for name, factors in derived.items():
         if any(f > 1 for f in factors):
-            placeholder = next(
-                p for p in function.placeholders() if p.name == name
-            )
-            placeholder.partition(list(factors), "cyclic")
+            placeholders[name].partition(list(factors), "cyclic")
 
 
 def _within_budget(report: SynthesisReport, budget: FPGADevice) -> bool:

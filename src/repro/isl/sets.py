@@ -369,11 +369,18 @@ class BasicSet:
     def sample(self) -> Optional[Dict[str, int]]:
         """Find one integer point, or None when empty.
 
-        Works by recursively fixing dimensions to values inside their
-        projected bounds; exact for the integrally-tight sets produced by
-        the loop transformations in this library.
+        Builds the projection chain once: walking from the last dim
+        down, each prefix ``dims[:k+1]`` is the previous prefix with its
+        last dim dropped (memoized :meth:`drop_dim`).  Each dim's bounds
+        come from :meth:`dim_bounds` on its prefix, as functions of the
+        dims before it.  A depth-first search then fixes dims in order,
+        trying values in ascending order, and checks the full point
+        with :meth:`contains`.  Fourier-Motzkin projection with integer
+        tightening never drops an integer shadow point, so for bounded
+        sets the search is complete and returns the lexicographically
+        smallest point.
         """
-        return _sample(self, {})
+        return _sample(self)
 
     # -- protocol -----------------------------------------------------------
 
@@ -520,33 +527,39 @@ def _eliminate_reference(constraints: List[Constraint], name: str) -> List[Const
     return prune_parallel(result)
 
 
-def _sample(bset: BasicSet, fixed: Dict[str, int]) -> Optional[Dict[str, int]]:
-    remaining = [d for d in bset.dims if d not in fixed]
-    if not remaining:
-        return dict(fixed) if bset.contains(fixed) else None
-    name = remaining[0]
-    # Project onto already-fixed dims + this one to get its feasible range.
-    sub = bset
-    for fixed_name, value in fixed.items():
-        sub = sub.with_constraints([Constraint.eq(AffineExpr.var(fixed_name), value)])
-    lowers, uppers = sub.dim_bounds(name)
-    lo_values = [b.evaluate(fixed) for b in lowers if set(b.expr.dims()) <= set(fixed)]
-    hi_values = [b.evaluate(fixed) for b in uppers if set(b.expr.dims()) <= set(fixed)]
-    if not lo_values or not hi_values:
-        # Unbounded direction: try a small window around zero.
-        lo, hi = -16, 16
-        if lo_values:
-            lo = max(lo_values)
-            hi = lo + 32
-        if hi_values:
-            hi = min(hi_values)
-            lo = hi - 32
-    else:
-        lo, hi = max(lo_values), min(hi_values)
-    for value in range(lo, hi + 1):
-        fixed[name] = value
-        found = _sample(bset, fixed)
-        if found is not None:
-            return found
-        del fixed[name]
-    return None
+def _sample(bset: BasicSet) -> Optional[Dict[str, int]]:
+    dims = bset.dims
+    chain = [bset]  # chain[-1] ranges over dims[:k+1], k counting down
+    for name in reversed(dims[1:]):
+        chain.append(chain[-1].drop_dim(name))
+    chain.reverse()
+    bounds = [chain[k].dim_bounds(name, dims[:k]) for k, name in enumerate(dims)]
+    fixed: Dict[str, int] = {}
+
+    def search(k: int) -> Optional[Dict[str, int]]:
+        if k == len(dims):
+            return dict(fixed) if bset.contains(fixed) else None
+        lowers, uppers = bounds[k]
+        lo_values = [b.evaluate(fixed) for b in lowers]
+        hi_values = [b.evaluate(fixed) for b in uppers]
+        if not lo_values or not hi_values:
+            # Unbounded direction: try a small window around zero.
+            lo, hi = -16, 16
+            if lo_values:
+                lo = max(lo_values)
+                hi = lo + 32
+            if hi_values:
+                hi = min(hi_values)
+                lo = hi - 32
+        else:
+            lo, hi = max(lo_values), min(hi_values)
+        name = dims[k]
+        for value in range(lo, hi + 1):
+            fixed[name] = value
+            found = search(k + 1)
+            if found is not None:
+                return found
+        fixed.pop(name, None)
+        return None
+
+    return search(0)

@@ -40,6 +40,27 @@ def random_sets(draw, dims=DIMS):
 
 
 @st.composite
+def relation_sets(draw):
+    """Dependence-relation-shaped sets over ``(i, j, i', j')``.
+
+    Boxes on both instances, random equalities tying a source index
+    expression to a sink one, and one strict lexicographic inequality:
+    equality on the dims above a level, ``<`` at the level.
+    """
+    src, snk = DIMS, ("i2", "j2")
+    relation = draw(random_sets(src + snk))
+    rename = dict(zip(src, snk))
+    equalities = []
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        expr = draw(affine_exprs(src))
+        equalities.append(Constraint.eq(expr, draw(affine_exprs(src)).rename(rename)))
+    level = draw(st.integers(min_value=0, max_value=len(src) - 1))
+    lex = [Constraint.eq(e.var(d), e.var(rename[d])) for d in src[:level]]
+    lex.append(Constraint.lt(e.var(src[level]), e.var(rename[src[level]])))
+    return relation.with_constraints(equalities + lex)
+
+
+@st.composite
 def points(draw, dims=DIMS):
     return {d: draw(small_int) for d in dims}
 
@@ -93,7 +114,7 @@ class TestSetSemantics:
             else:
                 assert i not in shadow
 
-    @given(random_sets())
+    @given(st.one_of(random_sets(), relation_sets()))
     @settings(max_examples=50)
     def test_sample_member_when_nonempty(self, s):
         point = s.sample()
