@@ -17,6 +17,7 @@ changing nothing about the result.
 """
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -85,6 +86,7 @@ def test_dse_cache_speedup(polybench_size, benchmark):
     ratio = uncached_s / cached_s
     payload = {
         "size": polybench_size,
+        "cpus": os.cpu_count() or 1,
         "uncached_s": round(uncached_s, 4),
         "cached_s": round(cached_s, 4),
         "speedup": round(ratio, 2),

@@ -160,11 +160,22 @@ def _distance_entry(
     ``sample`` is any point of the relation (None when it has none).
     The result does not depend on which point it is: the point's
     distance is the answer exactly when no point lies above or below it.
+
+    When the relation's constraints literally contain ``dim' - dim ==
+    c`` (either sign: equalities are not sign-normalized), the entry is
+    pinned and the sample's distance is returned without testing
+    emptiness.  This covers every dim above the carried level and every
+    dim the two accesses tie by a translation.  Otherwise two rational
+    emptiness probes, one above and one below the sample's distance,
+    decide it.
     """
     if sample is None:
         return None
     delta = AffineExpr.var(_sink_name(dim)) - AffineExpr.var(dim)
     candidate = sample[_sink_name(dim)] - sample[dim]
+    pinned = (Constraint.eq(delta, candidate), Constraint.eq(candidate, delta))
+    if any(c in relation.constraints for c in pinned):
+        return candidate
     above = relation.with_constraints([Constraint.ge(delta, candidate + 1)])
     below = relation.with_constraints([Constraint.le(delta, candidate - 1)])
     if above.is_empty() and below.is_empty():
@@ -172,11 +183,32 @@ def _distance_entry(
     return None
 
 
-def _min_distance(relation: BasicSet, dim: str, extent: int) -> Optional[int]:
-    """Minimum of ``dim' - dim`` over the relation (>= 1 when carried)."""
+def _min_distance(
+    relation: BasicSet,
+    dim: str,
+    extent: int,
+    entry: Optional[int],
+    sample: Optional[Dict[str, int]],
+) -> Optional[int]:
+    """Minimum of ``dim' - dim`` over the relation (>= 1 when carried).
+
+    The search is bounded by ``extent``: a minimum above it is reported
+    as None.  ``entry`` is the dim's distance entry and ``sample`` a
+    point of the relation, as passed to :func:`_distance_entry`.  A
+    constant entry is the minimum itself.  Otherwise the smallest
+    ``m`` in ``[1, extent]`` with ``dim' - dim <= m`` non-empty is
+    binary-searched; the sample lies in every such set at or above its
+    own distance, so that distance caps the search when it is within
+    ``extent`` and no emptiness probe is spent on the cap.
+    """
+    if entry is not None:
+        return entry if entry <= extent else None
     delta = AffineExpr.var(_sink_name(dim)) - AffineExpr.var(dim)
     lo, hi = 1, extent
-    if relation.with_constraints([Constraint.le(delta, hi)]).is_empty():
+    reached = None if sample is None else sample[_sink_name(dim)] - sample[dim]
+    if reached is not None and reached <= extent:
+        hi = reached
+    elif relation.with_constraints([Constraint.le(delta, hi)]).is_empty():
         return None
     while lo < hi:
         mid = (lo + hi) // 2
@@ -241,6 +273,9 @@ def carried_dependences_generic(
                 sample = relation.sample()
                 entries = tuple(_distance_entry(relation, d, sample) for d in dims)
                 distance = DistanceVector(dims, entries)
+                min_distance = _min_distance(
+                    relation, carried, extents.get(carried, 1), entries[level], sample
+                )
                 results.append(
                     CarriedDependence(
                         array=array,
@@ -249,9 +284,7 @@ def carried_dependences_generic(
                         dims=dims,
                         distance=distance,
                         direction=distance.direction(),
-                        min_distance=_min_distance(
-                            relation, carried, extents.get(carried, 1)
-                        ),
+                        min_distance=min_distance,
                     )
                 )
     return results

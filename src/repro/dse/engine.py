@@ -639,10 +639,18 @@ def _search(
         """
         pkey = (configs_fp, bank_cap)
         derived = partitions_cache.get(pkey) if cache else None
+        # The candidate's schedule is applied at most once: the program
+        # that derives the partitions is the one lowered below.
+        scheduled = None
         if derived is None:
             if cache:
                 stats.partition_cache_misses += 1
-            derived = derive_partitions(function, max_banks=bank_cap)
+            t0 = time.perf_counter()
+            scheduled = PolyProgram(function).apply_schedule()
+            stats.lowering_s += time.perf_counter() - t0
+            derived = derive_partitions(
+                function, max_banks=bank_cap, program=scheduled
+            )
             if cache:
                 partitions_cache[pkey] = derived
         else:
@@ -659,7 +667,8 @@ def _search(
             stats.design_cache_misses += 1
         stats.lowerings += 1
         t0 = time.perf_counter()
-        scheduled = PolyProgram(function).apply_schedule()
+        if scheduled is None:
+            scheduled = PolyProgram(function).apply_schedule()
         func_op = lower_program_incremental(scheduled, cache=nest_cache, stats=stats)
         stats.lowering_s += time.perf_counter() - t0
         if nest_cache is None:

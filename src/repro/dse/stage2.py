@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import trace as _trace
 from repro.dsl.function import Function
 from repro.dsl.schedule import (
     After,
@@ -86,70 +87,71 @@ def plan_node_config(
     remaining dims absorb unroll factors innermost-first, each capped by
     its extent and :data:`MAX_FACTOR_PER_DIM`.
     """
-    if program is None:
-        program = stage1_program(function, plan)
-    order = list(plan.orders[node])
-    extents = _node_extents(program, node, order)
-    deps = plan.deps_cache.get(node)
-    if deps is None:
-        deps = carried_for_statement(program.statement(node), kinds=("RAW", "WAR", "WAW"))
-        plan.deps_cache[node] = deps
-    prefix = plan.frozen.get(node, 0)
-    movable = order[prefix:]
+    with _trace.span("dse.stage2.config", "dse"):
+        if program is None:
+            program = stage1_program(function, plan)
+        order = list(plan.orders[node])
+        extents = _node_extents(program, node, order)
+        deps = plan.deps_cache.get(node)
+        if deps is None:
+            deps = carried_for_statement(program.statement(node), kinds=("RAW", "WAR", "WAW"))
+            plan.deps_cache[node] = deps
+        prefix = plan.frozen.get(node, 0)
+        movable = order[prefix:]
 
-    free = [d for d in plan.free.get(node, []) if d in movable]
-    if free:
-        pipeline_dim = max(free, key=lambda d: extents.get(d, 1))
-    else:
-        pipeline_dim = order[-1]
-    if not legal_order(deps, _candidate_order(order, pipeline_dim, [])):
-        pipeline_dim = order[-1]
+        free = [d for d in plan.free.get(node, []) if d in movable]
+        if free:
+            pipeline_dim = max(free, key=lambda d: extents.get(d, 1))
+        else:
+            pipeline_dim = order[-1]
+        if not legal_order(deps, _candidate_order(order, pipeline_dim, [])):
+            pipeline_dim = order[-1]
 
-    config = NodeConfig(name=node, pipeline_dim=pipeline_dim)
-    remaining = max(1, parallelism)
-    moved: List[str] = []
+        config = NodeConfig(name=node, pipeline_dim=pipeline_dim)
+        remaining = max(1, parallelism)
+        moved: List[str] = []
 
-    # Parallelism preference order: dependence-free dims first (their
-    # unrolled copies are truly parallel), then a split of the pipeline
-    # dim itself, and only then carried dims (whose copies form serial
-    # chains -- useful for reductions, useless for stencil wavefronts).
-    free_candidates = [d for d in reversed(movable) if d in free and d != pipeline_dim]
-    carried_candidates = [d for d in reversed(movable) if d not in free and d != pipeline_dim]
+        # Parallelism preference order: dependence-free dims first (their
+        # unrolled copies are truly parallel), then a split of the pipeline
+        # dim itself, and only then carried dims (whose copies form serial
+        # chains -- useful for reductions, useless for stencil wavefronts).
+        free_candidates = [d for d in reversed(movable) if d in free and d != pipeline_dim]
+        carried_candidates = [d for d in reversed(movable) if d not in free and d != pipeline_dim]
 
-    def try_unroll(dim: str, cap: int) -> None:
-        nonlocal remaining
-        if remaining <= 1:
-            return
-        extent = extents.get(dim, 1)
-        factor = min(remaining, cap, MAX_FACTOR_PER_DIM)
-        # Prefer even tiles, but accept a ragged split (guards handle the
-        # remainder) rather than giving up on prime-ish extents.
-        even = factor
-        while even > 1 and extent % even:
-            even -= 1
-        if even >= max(2, factor // 2):
-            factor = even
-        if factor <= 1:
-            return
-        # Unrolled parts move innermost; reject dims whose move would
-        # flip a dependence (e.g. a stencil's time loop).
-        if dim != pipeline_dim:
-            candidate = _candidate_order(order, pipeline_dim, [dim] + moved)
-            if not legal_order(deps, candidate):
+        def try_unroll(dim: str, cap: int) -> None:
+            nonlocal remaining
+            if remaining <= 1:
                 return
-            moved.insert(0, dim)
-        config.unrolls.append((dim, factor))
-        remaining //= factor
+            extent = extents.get(dim, 1)
+            factor = min(remaining, cap, MAX_FACTOR_PER_DIM)
+            # Prefer even tiles, but accept a ragged split (guards handle the
+            # remainder) rather than giving up on prime-ish extents.
+            even = factor
+            while even > 1 and extent % even:
+                even -= 1
+            if even >= max(2, factor // 2):
+                factor = even
+            if factor <= 1:
+                return
+            # Unrolled parts move innermost; reject dims whose move would
+            # flip a dependence (e.g. a stencil's time loop).
+            if dim != pipeline_dim:
+                candidate = _candidate_order(order, pipeline_dim, [dim] + moved)
+                if not legal_order(deps, candidate):
+                    return
+                moved.insert(0, dim)
+            config.unrolls.append((dim, factor))
+            remaining //= factor
 
-    for dim in free_candidates:
-        try_unroll(dim, extents.get(dim, 1))
-    if pipeline_dim in free:
-        try_unroll(pipeline_dim, extents.get(pipeline_dim, 1) // 2)
-    for dim in carried_candidates:
-        try_unroll(dim, extents.get(dim, 1))
+        for dim in free_candidates:
+            try_unroll(dim, extents.get(dim, 1))
+        if pipeline_dim in free:
+            try_unroll(pipeline_dim, extents.get(pipeline_dim, 1) // 2)
+        for dim in carried_candidates:
+            try_unroll(dim, extents.get(dim, 1))
 
-    config.unrolls.reverse()  # report outermost-first like the paper
-    return config
+        config.unrolls.reverse()  # report outermost-first like the paper
+        return config
 
 
 def _candidate_order(order: List[str], pipeline_dim: str, moved: List[str]) -> List[str]:
@@ -282,14 +284,26 @@ def _fusion_directives(
     return directives
 
 
-def derive_partitions(function: Function, max_banks: int = 128) -> Dict[str, Tuple[int, ...]]:
+def derive_partitions(
+    function: Function,
+    max_banks: int = 128,
+    program: Optional[PolyProgram] = None,
+) -> Dict[str, Tuple[int, ...]]:
     """Cyclic partition factors making unrolled copies hit distinct banks.
 
-    Replays the function's current schedule, finds every completely
-    unrolled loop dim, and for each array dimension takes the product of
-    the extents of unrolled dims appearing in its index expression.
+    Finds every completely unrolled loop dim of the scheduled program,
+    and for each array dimension takes the product of the extents of
+    unrolled dims appearing in its index expression.
+
+    ``program``, when given, must be ``PolyProgram(function)
+    .apply_schedule()`` under the function's current schedule; without
+    it the schedule is replayed here.  The DSE engine passes the
+    program it then lowers, so each candidate's schedule is applied
+    once: partition schemes live on the placeholders, which lowering
+    reads at the end, and statement fingerprints do not cover them.
     """
-    program = PolyProgram(function).apply_schedule()
+    if program is None:
+        program = PolyProgram(function).apply_schedule()
     factors: Dict[str, List[int]] = {}
     for stmt in program.statements:
         unrolled = {

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro import trace as _trace
 from repro.diagnostics import DiagnosticEngine, SourceLocation
 from repro.dsl.function import Function
 from repro.dsl.schedule import (
@@ -67,20 +68,21 @@ def preflight_schedule(
         schedule = function.schedule
     if engine is None:
         engine = DiagnosticEngine()
-    program = PolyProgram(function)
-    for directive in schedule:
-        before = len(engine.errors())
-        _check_directive(program, directive, function, engine)
-        if len(engine.errors()) > before:
-            continue  # rejected: skip application
-        try:
-            program.apply_directive(directive)
-        except (TransformError, KeyError) as exc:
-            engine.error(
-                "SCH005",
-                f"could not apply {_describe(directive)}: {_message_of(exc)}",
-                location=_loc(directive, function),
-            )
+    with _trace.span("preflight", "preflight"):
+        program = PolyProgram(function)
+        for directive in schedule:
+            before = len(engine.errors())
+            _check_directive(program, directive, function, engine)
+            if len(engine.errors()) > before:
+                continue  # rejected: skip application
+            try:
+                program.apply_directive(directive)
+            except (TransformError, KeyError) as exc:
+                engine.error(
+                    "SCH005",
+                    f"could not apply {_describe(directive)}: {_message_of(exc)}",
+                    location=_loc(directive, function),
+                )
     return engine
 
 
